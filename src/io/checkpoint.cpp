@@ -1,6 +1,7 @@
 #include "io/checkpoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -78,6 +79,13 @@ CheckpointStats checkpoint(FileSystem& fs, net::RankSim& sim,
 
 double checkpoint_time(const IoConfig& config, int ranks,
                        double bytes_per_rank) {
+  config.validate();
+  EXA_REQUIRE_MSG(ranks >= 1, "checkpoint: ranks must be >= 1");
+  EXA_REQUIRE_MSG(std::isfinite(bytes_per_rank) && bytes_per_rank >= 0.0,
+                  "checkpoint: bytes_per_rank must be finite and >= 0");
+  // Every resource of a quiet filesystem is free, so the collective ends
+  // where it starts; skip building one and walking its stripe chunks.
+  if (config.quiet()) return 0.0;
   FileSystem fs(config);
   return checkpoint(fs, ranks, bytes_per_rank).end_s;
 }

@@ -47,7 +47,9 @@ CheckpointStats checkpoint(FileSystem& fs, net::RankSim& sim,
 
 /// Convenience: the wall time of one collective checkpoint on a fresh
 /// filesystem built from `config`. Exactly 0.0 for a quiet config — the
-/// guarantee the app drivers' golden-stable defaults rest on.
+/// guarantee the app drivers' golden-stable defaults rest on — which it
+/// returns after checking its arguments, without building the filesystem
+/// (so a quiet call leaves no DXT records or trace spans).
 [[nodiscard]] double checkpoint_time(const IoConfig& config, int ranks,
                                      double bytes_per_rank);
 

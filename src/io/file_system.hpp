@@ -196,8 +196,6 @@ class FileSystem {
   double bytes_landed_ = 0.0;
   std::vector<AccessRecord> records_;
   std::uint64_t dropped_ = 0;
-  /// Scratch for per-OST aggregation inside one pfs_write call.
-  std::vector<int> touched_;
 };
 
 }  // namespace exa::io

@@ -1,5 +1,6 @@
 #include "svc/scenario.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <utility>
@@ -75,11 +76,10 @@ int ranks_of(const arch::Machine& machine, int nodes) {
 }
 
 /// Prices the one collective checkpoint apps without native I/O plumbing
-/// charge when the preset is not quiet. Exactly 0.0 for quiet, so
+/// charge. Exactly 0.0 for quiet (io::checkpoint_time guarantees it), so
 /// refactored benches stay bit-identical to their pre-svc goldens.
 double checkpoint_surcharge(const Scenario& s, const arch::Machine& machine) {
   const io::IoConfig io = io::IoConfig::preset(s.io_preset);
-  if (io.quiet()) return 0.0;
   const double bytes =
       param_or(s, "checkpoint_bytes_per_rank", 256.0 * 1024 * 1024);
   return io::checkpoint_time(io, ranks_of(machine, s.nodes), bytes);
@@ -301,6 +301,13 @@ void validate(const Scenario& scenario) {
       throw support::Error("unknown " + svc::to_string(scenario.app) +
                            " param: " + name);
     }
+  }
+  // Rejected under every preset, so a bad value fails here rather than
+  // mid-run and only under lustre/bb.
+  const double ckpt_bytes =
+      param_or(scenario, "checkpoint_bytes_per_rank", 0.0);
+  if (!std::isfinite(ckpt_bytes) || ckpt_bytes < 0.0) {
+    throw support::Error("checkpoint_bytes_per_rank must be finite and >= 0");
   }
   switch (scenario.app) {
     case App::kPele: {

@@ -85,10 +85,11 @@ struct Scenario {
 };
 
 /// Throws support::Error when the scenario cannot run: unknown machine,
-/// nonpositive nodes, unknown io preset, an unrecognized params key, or
-/// an app-specific limit violation (e.g. GESTS slabs beyond its rank
-/// cap). `run()` validates implicitly; the server validates at submit
-/// time so a bad job is rejected before it ever queues.
+/// nonpositive nodes, unknown io preset, an unrecognized params key, a
+/// negative or non-finite checkpoint_bytes_per_rank, or an app-specific
+/// limit violation (e.g. GESTS slabs beyond its rank cap). `run()`
+/// validates implicitly; the server validates at submit time so a bad
+/// job is rejected before it ever queues.
 void validate(const Scenario& scenario);
 
 /// What a run produced: named metrics plus the two headline numbers every

@@ -9,25 +9,14 @@
 
 namespace exa::svc {
 
-/// One accepted job. Owned by jobs_ for the server's lifetime (status()
-/// stays answerable after completion).
-struct Server::Job {
-  JobId id = 0;
-  Scenario scenario;
-  std::string key;  ///< scenario.key(), computed once at submit
-  SubmitOptions opts;
-  JobState state = JobState::kQueued;
-  Report report;
-  std::string error;
-  std::pair<int, std::uint64_t> queue_key;  ///< position while kQueued
-  std::chrono::steady_clock::time_point submit_time;
-};
+namespace {
 
-/// A scenario key currently executing: followers are jobs that popped the
-/// same key mid-flight and will complete with the leader's report.
-struct Server::ExecutionSlot {
-  std::vector<JobId> followers;
-};
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+}  // namespace
 
 std::string to_string(JobState state) {
   switch (state) {
@@ -87,12 +76,10 @@ Server::~Server() {
     stop_ = true;
     // Jobs still queued never run: cancel them so submitted ==
     // completed + cancelled holds at teardown too.
-    for (const auto& [key, id] : queue_) {
-      (void)key;
-      cancel_locked(*jobs_.at(id), /*expired=*/false);
+    for (const auto& queued : queue_) {
+      cancel_locked(jobs_[queued.first.second - 1], /*expired=*/false);
     }
     queue_.clear();
-    stats_.queue_depth = 0;
     if (m_queue_depth_ != nullptr) m_queue_depth_->set(0.0);
   }
   cv_pop_.notify_all();
@@ -102,7 +89,7 @@ Server::~Server() {
 }
 
 JobId Server::submit(Scenario scenario, SubmitOptions options) {
-  if (config_.validate_on_submit) validate(scenario);
+  validate(scenario);
   std::string key = scenario.key();
   std::unique_lock<std::mutex> lock(mutex_);
   cv_space_.wait(lock, [&] {
@@ -110,21 +97,15 @@ JobId Server::submit(Scenario scenario, SubmitOptions options) {
   });
   if (stop_) throw support::Error("svc::Server is shut down");
 
-  auto job = std::make_unique<Job>();
-  const JobId id = next_id_++;
-  job->id = id;
-  job->scenario = std::move(scenario);
-  job->key = std::move(key);
-  job->opts = options;
-  job->queue_key = {-options.priority, ++submit_seq_};
-  job->submit_time = std::chrono::steady_clock::now();
-  queue_.emplace(job->queue_key, id);
-  jobs_.emplace(id, std::move(job));
+  jobs_.push_back({JobState::kQueued, options.priority, nullptr,
+                   std::chrono::steady_clock::now()});
+  const JobId id = jobs_.size();
+  queue_.emplace(std::pair{-options.priority, id},
+                 QueuedJob{std::move(scenario), std::move(key), options});
 
   ++stats_.submitted;
-  stats_.queue_depth = queue_.size();
-  stats_.peak_queue_depth = std::max(stats_.peak_queue_depth,
-                                     stats_.queue_depth);
+  stats_.peak_queue_depth =
+      std::max<std::uint64_t>(stats_.peak_queue_depth, queue_.size());
   if (m_submitted_ != nullptr) m_submitted_->add();
   if (m_queue_depth_ != nullptr) m_queue_depth_->set(double(queue_.size()));
   cv_pop_.notify_one();
@@ -146,12 +127,9 @@ std::optional<JobId> Server::try_submit(Scenario scenario,
 
 bool Server::cancel(JobId id) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) throw support::Error("unknown job id");
-  Job& job = *it->second;
+  JobRecord& job = jobs_[index_locked(id)];
   if (job.state != JobState::kQueued) return false;
-  queue_.erase(job.queue_key);
-  stats_.queue_depth = queue_.size();
+  queue_.erase({-job.priority, id});
   if (m_queue_depth_ != nullptr) m_queue_depth_->set(double(queue_.size()));
   cancel_locked(job, /*expired=*/false);
   cv_space_.notify_one();
@@ -160,22 +138,35 @@ bool Server::cancel(JobId id) {
 
 JobStatus Server::wait(JobId id) {
   std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) throw support::Error("unknown job id");
-  Job* job = it->second.get();
+  const JobRecord& job = jobs_[index_locked(id)];
   cv_done_.wait(lock, [&] {
-    return job->state == JobState::kCompleted ||
-           job->state == JobState::kCancelled;
+    return job.state == JobState::kCompleted ||
+           job.state == JobState::kCancelled;
   });
-  return JobStatus{job->id, job->state, job->report, job->error};
+  return unlock_status(lock, id, job);
 }
 
 JobStatus Server::status(JobId id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) throw support::Error("unknown job id");
-  const Job& job = *it->second;
-  return JobStatus{job.id, job.state, job.report, job.error};
+  std::unique_lock<std::mutex> lock(mutex_);
+  return unlock_status(lock, id, jobs_[index_locked(id)]);
+}
+
+std::size_t Server::index_locked(JobId id) const {
+  if (id == 0 || id > jobs_.size()) throw support::Error("unknown job id");
+  return std::size_t(id - 1);
+}
+
+JobStatus Server::unlock_status(std::unique_lock<std::mutex>& lock, JobId id,
+                                const JobRecord& job) {
+  JobStatus out{id, job.state, {}, {}};
+  const OutcomePtr outcome = job.outcome;
+  lock.unlock();
+  // The outcome is immutable and `outcome` keeps it alive: copy unlocked.
+  if (outcome != nullptr) {
+    out.report = outcome->report;
+    out.error = outcome->error;
+  }
+  return out;
 }
 
 void Server::pause() {
@@ -216,112 +207,92 @@ void Server::worker_loop() {
     });
     if (stop_) return;  // the destructor already cancelled queued jobs
 
-    const auto head = queue_.begin();
-    const JobId id = head->second;
-    queue_.erase(head);
-    stats_.queue_depth = queue_.size();
+    auto node = queue_.extract(queue_.begin());
+    const JobId id = node.key().second;
+    QueuedJob& queued = node.mapped();
     if (m_queue_depth_ != nullptr) m_queue_depth_->set(double(queue_.size()));
     cv_space_.notify_one();
-    Job& job = *jobs_.at(id);
+    JobRecord& job = jobs_[id - 1];
     const std::uint64_t ordinal = ++pop_ordinal_;
 
     // Deadlines: the logical pop-ordinal one (deterministic), then the
     // wall-clock one.
-    bool expired = job.opts.deadline_tick >= 0 &&
-                   std::int64_t(ordinal) > job.opts.deadline_tick;
-    if (!expired && job.opts.deadline_s >= 0.0) {
-      const double waited =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        job.submit_time)
-              .count();
-      expired = waited > job.opts.deadline_s;
+    bool expired = queued.opts.deadline_tick >= 0 &&
+                   std::int64_t(ordinal) > queued.opts.deadline_tick;
+    if (!expired && queued.opts.deadline_s >= 0.0) {
+      expired = seconds_since(job.submit_time) > queued.opts.deadline_s;
     }
     if (expired) {
       cancel_locked(job, /*expired=*/true);
       continue;
     }
 
-    const bool dedupe = config_.dedupe && job.opts.dedupe;
-    if (dedupe) {
-      if (const auto cached = report_cache_.find(job.key);
-          cached != report_cache_.end()) {
+    DedupeEntry* entry = nullptr;
+    if (queued.opts.dedupe) {
+      const auto [it, inserted] = dedupe_.try_emplace(std::move(queued.key));
+      entry = &it->second;
+      if (!inserted) {
         ++stats_.dedupe_hits;
         if (m_dedupe_hits_ != nullptr) m_dedupe_hits_->add();
-        const auto err = error_cache_.find(job.key);
-        complete_locked(job, cached->second,
-                        err == error_cache_.end() ? std::string() : err->second);
+        if (const OutcomePtr* finished = std::get_if<OutcomePtr>(entry)) {
+          complete_locked(job, *finished);
+        } else {  // still running: its leader completes this job
+          job.state = JobState::kRunning;
+          std::get<std::vector<JobId>>(*entry).push_back(id);
+        }
         continue;
-      }
-      if (const auto slot = running_.find(job.key); slot != running_.end()) {
-        ++stats_.dedupe_hits;
-        if (m_dedupe_hits_ != nullptr) m_dedupe_hits_->add();
-        job.state = JobState::kRunning;
-        slot->second->followers.push_back(id);
-        continue;  // the leader completes this job
       }
     }
 
     // Leader: execute outside the lock.
-    auto slot = std::make_shared<ExecutionSlot>();
-    if (dedupe) running_.emplace(job.key, slot);
     job.state = JobState::kRunning;
     ++inflight_;
-    const Scenario scenario = job.scenario;
-    const std::string key = job.key;
+    const Scenario scenario = std::move(queued.scenario);
     lock.unlock();
 
-    Report report;
-    std::string error;
+    auto outcome = std::make_shared<Outcome>();
     try {
-      report = run(scenario);
+      outcome->report = run(scenario);
     } catch (const std::exception& e) {
-      error = e.what();
+      outcome->error = e.what();
     }
-    if (config_.metrics != nullptr && error.empty()) {
+    if (config_.metrics != nullptr && outcome->error.empty()) {
       config_.metrics->record_profile("svc/" + to_string(scenario.app),
-                                      double(scenario.nodes), report.time_s);
+                                      double(scenario.nodes),
+                                      outcome->report.time_s);
     }
+    const OutcomePtr done = std::move(outcome);
 
     lock.lock();
     ++stats_.executed;
     if (m_executed_ != nullptr) m_executed_->add();
-    complete_locked(*jobs_.at(id), report, error);
-    if (dedupe) {
-      for (const JobId follower_id : slot->followers) {
-        complete_locked(*jobs_.at(follower_id), report, error);
+    complete_locked(job, done);
+    if (entry != nullptr) {
+      for (const JobId follower : std::get<std::vector<JobId>>(*entry)) {
+        complete_locked(jobs_[follower - 1], done);
       }
-      running_.erase(key);
-      report_cache_.emplace(key, report);
-      if (!error.empty()) error_cache_.emplace(key, error);
+      *entry = done;
     }
     --inflight_;
     cv_done_.notify_all();
   }
 }
 
-void Server::complete_locked(Job& job, const Report& report,
-                             const std::string& error) {
+void Server::complete_locked(JobRecord& job, const OutcomePtr& outcome) {
   job.state = JobState::kCompleted;
-  job.report = report;
-  job.error = error;
+  job.outcome = outcome;
   ++stats_.completed;
   if (m_completed_ != nullptr) m_completed_->add();
-  latencies_.push_back(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    job.submit_time)
-          .count());
+  latencies_.push_back(seconds_since(job.submit_time));
   cv_done_.notify_all();
 }
 
-void Server::cancel_locked(Job& job, bool expired) {
+void Server::cancel_locked(JobRecord& job, bool expired) {
   job.state = JobState::kCancelled;
   ++stats_.cancelled;
   if (expired) ++stats_.expired;
   if (m_cancelled_ != nullptr) m_cancelled_->add();
-  latencies_.push_back(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    job.submit_time)
-          .count());
+  latencies_.push_back(seconds_since(job.submit_time));
   cv_done_.notify_all();
 }
 

@@ -10,13 +10,14 @@
 /// strict priority, FIFO within a priority. `submit` blocks while the
 /// queue is full (backpressure); `try_submit` returns nullopt instead.
 ///
-/// ## Dedupe — decided at pop time, deterministically
-/// Scenarios are content-addressed by `Scenario::key()`. When a worker
-/// pops a job whose key is already **running**, the job attaches to the
-/// running execution and completes with the leader's report; when the key
-/// has already **completed**, the job completes immediately from the
-/// report cache. Both count as dedupe hits. Because the decision happens
-/// under the queue lock at pop time, the invariant
+/// ## Dedupe — one outcome table, decided at pop time
+/// Scenarios are content-addressed by `Scenario::key()`. One table maps a
+/// key to the followers of its running execution (jobs that popped the
+/// key meanwhile), then to the execution's immutable outcome — Report or
+/// error — which the leader, its followers and every later pop of the key
+/// share by pointer. Followers and later pops are dedupe hits; a job with
+/// `SubmitOptions::dedupe = false` bypasses the table. Because the
+/// decision happens under the queue lock at pop time, the invariant
 ///
 ///     dedupe_hits == popped_for_execution − distinct_keys_executed
 ///
@@ -25,6 +26,11 @@
 /// race between workers. (Which job *leads* an execution can vary; every
 /// job's observable result — its Report — cannot, because `svc::run` is a
 /// pure function of the scenario.)
+///
+/// ## Job records
+/// A queued job's Scenario, key and options live in its queue node. Once
+/// it pops, the server keeps only a small record (state, outcome pointer,
+/// priority, submit time) and a latency sample per job.
 ///
 /// ## Deadlines — logical, not wall-clock
 /// A job may carry `deadline_tick`: an absolute **pop ordinal** (the
@@ -50,10 +56,10 @@
 /// identical for 1 or N workers — `tests/svc` checks this against a
 /// single-threaded reference scheduler under random interleavings.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,6 +67,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -111,13 +118,8 @@ struct ServerConfig {
   std::size_t workers = 0;
   /// Queue slots; submit blocks (try_submit fails) while full.
   std::size_t queue_capacity = 65536;
-  /// Master dedupe switch (per-job SubmitOptions::dedupe can only opt out).
-  bool dedupe = true;
   /// Start with workers idle; resume() begins execution.
   bool start_paused = false;
-  /// Validate scenarios at submit time (reject bad jobs before they
-  /// queue). Costs one catalog lookup per submit.
-  bool validate_on_submit = true;
   /// Optional metric proxy; when set the server registers and maintains
   /// svc_* counters/gauges and records one per-job profile sample
   /// ("svc/<app>" at p = nodes) for live scaling fits.
@@ -151,8 +153,8 @@ class Server {
   /// Resolved worker-pool width (after EXA_THREADS resolution).
   [[nodiscard]] std::size_t workers() const { return workers_; }
 
-  /// Accepts a job; blocks while the queue is full; throws support::Error
-  /// after shutdown or (with validate_on_submit) for invalid scenarios.
+  /// Validates and accepts a job; blocks while the queue is full; throws
+  /// support::Error for an invalid scenario or after shutdown.
   JobId submit(Scenario scenario, SubmitOptions options = {});
   /// Non-blocking variant: nullopt when the queue is full.
   std::optional<JobId> try_submit(Scenario scenario, SubmitOptions options = {});
@@ -183,13 +185,38 @@ class Server {
   [[nodiscard]] std::vector<double> latencies() const;
 
  private:
-  struct Job;
-  struct ExecutionSlot;
+  /// What one execution produced; immutable, shared by every job it served.
+  struct Outcome {
+    Report report;
+    std::string error;  ///< nonempty when run() threw
+  };
+  using OutcomePtr = std::shared_ptr<const Outcome>;
+  /// A key's dedupe entry: the followers of its running execution, then
+  /// that execution's outcome.
+  using DedupeEntry = std::variant<std::vector<JobId>, OutcomePtr>;
+  /// A queued job's payload; it leaves the server with its queue node.
+  struct QueuedJob {
+    Scenario scenario;
+    std::string key;  ///< scenario.key(), computed once at submit
+    SubmitOptions opts;
+  };
+  /// What the server keeps of a job for its lifetime, at jobs_[id − 1].
+  struct JobRecord {
+    JobState state = JobState::kQueued;
+    int priority = 0;    ///< with the id, the queue position while kQueued
+    OutcomePtr outcome;  ///< set once kCompleted
+    std::chrono::steady_clock::time_point submit_time;
+  };
 
   void worker_loop();
+  /// jobs_ index of `id`; throws for unknown ids. Caller holds mutex_.
+  [[nodiscard]] std::size_t index_locked(JobId id) const;
+  /// Reads `job` under `lock`, releases it, then copies the Report.
+  [[nodiscard]] static JobStatus unlock_status(
+      std::unique_lock<std::mutex>& lock, JobId id, const JobRecord& job);
   /// Terminal transition helpers; caller holds mutex_.
-  void complete_locked(Job& job, const Report& report, const std::string& error);
-  void cancel_locked(Job& job, bool expired);
+  void complete_locked(JobRecord& job, const OutcomePtr& outcome);
+  void cancel_locked(JobRecord& job, bool expired);
 
   std::size_t workers_ = 0;
   ServerConfig config_;
@@ -202,20 +229,18 @@ class Server {
   bool paused_ = false;
   bool stop_ = false;
 
-  std::uint64_t next_id_ = 1;
-  std::uint64_t submit_seq_ = 0;  ///< FIFO tiebreak within a priority
   std::uint64_t pop_ordinal_ = 0; ///< logical clock for deadline_tick
   std::uint64_t inflight_ = 0;    ///< leader executions outside the lock
 
-  /// Ready queue ordered by (−priority, submit_seq): begin() is the next
-  /// job to pop. Values are job ids.
-  std::map<std::pair<int, std::uint64_t>, JobId> queue_;
-  std::unordered_map<JobId, std::unique_ptr<Job>> jobs_;
-  /// Dedupe: executions in flight by scenario key.
-  std::unordered_map<std::string, std::shared_ptr<ExecutionSlot>> running_;
-  /// Dedupe: completed reports by scenario key.
-  std::unordered_map<std::string, Report> report_cache_;
-  std::unordered_map<std::string, std::string> error_cache_;
+  /// Ready queue ordered by (−priority, id): begin() is the next job to
+  /// pop (ids rise in submission order, so FIFO within a priority).
+  std::map<std::pair<int, JobId>, QueuedJob> queue_;
+  /// Every job ever accepted. A deque, so a worker's record reference
+  /// survives submits while it runs outside the lock.
+  std::deque<JobRecord> jobs_;
+  /// Dedupe: scenario key → entry. Entries are never erased, so pointers
+  /// to them stay valid across rehashes.
+  std::unordered_map<std::string, DedupeEntry> dedupe_;
 
   ServerStats stats_;
   std::vector<double> latencies_;

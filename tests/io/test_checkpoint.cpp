@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "io/dxt.hpp"
@@ -23,6 +24,19 @@ std::string temp_path(const std::string& name) {
 
 TEST(Checkpoint, QuietConfigCostsExactlyZero) {
   EXPECT_EQ(checkpoint_time(IoConfig::quiet_config(), 512, 1.0e9), 0.0);
+  // The quiet short-circuit still checks its arguments first.
+  IoConfig broken = IoConfig::quiet_config();
+  broken.pfs.ost_count = 0;
+  EXPECT_THROW((void)checkpoint_time(broken, 4, 1.0), support::Error);
+  const IoConfig quiet = IoConfig::quiet_config();
+  EXPECT_THROW((void)checkpoint_time(quiet, 0, 1.0), support::Error);
+  EXPECT_THROW((void)checkpoint_time(quiet, 4, -1.0), support::Error);
+  EXPECT_THROW((void)checkpoint_time(
+                   quiet, 4, std::numeric_limits<double>::infinity()),
+               support::Error);
+  EXPECT_THROW((void)checkpoint_time(
+                   quiet, 4, std::numeric_limits<double>::quiet_NaN()),
+               support::Error);
   FileSystem fs;
   const CheckpointStats stats = checkpoint(fs, 64, 1.0e9, 2.5);
   EXPECT_EQ(stats.begin_s, 2.5);

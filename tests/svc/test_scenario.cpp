@@ -3,6 +3,7 @@
 /// validation, and the purity guarantee the dedupe machinery rests on —
 /// equal keys must imply bitwise-equal reports.
 
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -113,6 +114,19 @@ TEST(SvcScenario, ValidateRejectsBadScenarios) {
   s = tiny_exasky();
   s.params["partcles_per_rank"] = 1.0e5;
   EXPECT_THROW(validate(s), support::Error);
+
+  // A bad checkpoint payload is rejected under every preset, quiet too.
+  for (const double bytes : {-1.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    for (const char* preset : {"quiet", "lustre", "bb"}) {
+      s = tiny_exasky();
+      s.io_preset = preset;
+      s.params["checkpoint_bytes_per_rank"] = bytes;
+      EXPECT_THROW(validate(s), support::Error) << preset << " " << bytes;
+    }
+  }
+  s.params["checkpoint_bytes_per_rank"] = 0.0;
+  EXPECT_NO_THROW(validate(s));
 }
 
 TEST(SvcScenario, ValidateEnforcesAppLimits) {

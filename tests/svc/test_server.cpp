@@ -1,6 +1,6 @@
 /// Unit tests of the always-on service (svc::Server): scheduling order,
 /// cancellation, logical and wall-clock deadlines, content-keyed dedupe
-/// (including the error cache), backpressure, metric integration, and
+/// (failed runs included), backpressure, metric integration, and
 /// the conservation identity `submitted == completed + cancelled` — at
 /// teardown too.
 ///
@@ -12,10 +12,12 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "arch/machine.hpp"
 #include "support/assert.hpp"
 #include "svc/metrics.hpp"
 #include "svc/server.hpp"
@@ -196,41 +198,38 @@ TEST(SvcServer, DedupeOptOutsAlwaysExecute) {
   server.drain();
   EXPECT_EQ(server.stats().executed, 5u);
   EXPECT_EQ(server.stats().dedupe_hits, 0u);
-
-  // Master switch off behaves the same for default options.
-  ServerConfig raw;
-  raw.workers = 2;
-  raw.dedupe = false;
-  Server nodedupe(raw);
-  for (int i = 0; i < 5; ++i) (void)nodedupe.submit(tiny_exasky());
-  nodedupe.drain();
-  EXPECT_EQ(nodedupe.stats().executed, 5u);
-  EXPECT_EQ(nodedupe.stats().dedupe_hits, 0u);
 }
 
 TEST(SvcServer, FailedRunsCompleteWithCachedError) {
-  // validate_on_submit off lets an invalid scenario reach execution; the
-  // run throws, the job completes with the error string, and dedupe
-  // serves the *error* from cache rather than re-running.
-  ServerConfig config;
-  config.workers = 1;
-  config.validate_on_submit = false;
-  Server server(config);
+  // CoMet on more nodes than the machine has passes validate(), but the
+  // driver (comet::scale_run) rejects it: the run throws, the job
+  // completes with the error string, and dedupe serves that error to the
+  // key's other jobs instead of re-running — from the finished outcome at
+  // 1 worker, as followers or from the outcome at 4.
+  Scenario bad;
+  bad.app = App::kComet;
+  bad.nodes = arch::machines::by_name(bad.machine).node_count + 1;
+  ASSERT_NO_THROW(validate(bad));
+  for (const std::size_t workers : {1, 4}) {
+    ServerConfig config;
+    config.workers = workers;
+    config.start_paused = true;
+    Server server(config);
+    std::vector<JobId> ids;
+    for (int i = 0; i < 8; ++i) ids.push_back(server.submit(bad));
+    server.resume();
+    server.drain();
 
-  Scenario bad = tiny_exasky();
-  bad.params["no_such_knob"] = 1.0;
-  const JobId first = server.submit(bad);
-  const JobId second = server.submit(bad);
-  server.drain();
-
-  const JobStatus a = server.wait(first);
-  const JobStatus b = server.wait(second);
-  EXPECT_EQ(a.state, JobState::kCompleted);
-  EXPECT_FALSE(a.error.empty());
-  EXPECT_EQ(b.state, JobState::kCompleted);
-  EXPECT_EQ(b.error, a.error);
-  EXPECT_EQ(server.stats().executed, 1u);
-  EXPECT_EQ(server.stats().dedupe_hits, 1u);
+    const JobStatus first = server.wait(ids.front());
+    EXPECT_NE(first.error.find("node_count"), std::string::npos) << first.error;
+    for (const JobId id : ids) {
+      const JobStatus status = server.wait(id);
+      EXPECT_EQ(status.state, JobState::kCompleted);
+      EXPECT_EQ(status.error, first.error);
+    }
+    EXPECT_EQ(server.stats().executed, 1u) << workers << " workers";
+    EXPECT_EQ(server.stats().dedupe_hits, 7u) << workers << " workers";
+  }
 }
 
 TEST(SvcServer, TrySubmitBackpressure) {
